@@ -415,7 +415,13 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
                 (100.0 *. Pom.Poly.Projcache.hit_rate ps);
               let dh, dm = Pom.Hls.Summary.dep_cache_stats () in
               Format.printf "cache:       dependence memo %d/%d hits@." dh
-                (dh + dm)
+                (dh + dm);
+              let fs = Pom.Poly.Feasible.stats () in
+              Format.printf
+                "poly:        emptiness %d tests, %d decided by FM, %d by \
+                 point enumeration@."
+                (fs.Pom.Poly.Feasible.fm_decided + fs.Pom.Poly.Feasible.enumerated)
+                fs.Pom.Poly.Feasible.fm_decided fs.Pom.Poly.Feasible.enumerated
             end;
             List.iter
               (fun (r : Pom.Pipeline.Pass.record) ->
@@ -717,7 +723,7 @@ let inject_arg =
         ~doc:
           "Deterministic fault injection for resilience testing: \
            comma-separated site=kind@n terms, kind one of fail, timeout, \
-           kill (e.g. 'pass:hls-synthesize=fail@1,dse:evaluate=kill@5').  \
+           kill, stall (e.g. 'pass:hls-synthesize=fail@1,dse:evaluate=kill@5').  \
            Also read from the POM_FAULTS environment variable.")
 
 let list_arg =

@@ -34,7 +34,7 @@ let transformed_accesses (s : Stmt_poly.t) =
     List.map remap (Compute.read_accesses s.Stmt_poly.compute) )
 
 (* Domain with the dimension tuple reordered to schedule order, so that
-   Dep.analyze's lexicographic levels coincide with loop levels. *)
+   Dep's lexicographic levels coincide with loop levels. *)
 let ordered_domain (s : Stmt_poly.t) =
   Basic_set.make (Sched.dims s.Stmt_poly.sched)
     (Basic_set.constraints s.Stmt_poly.domain)
@@ -67,15 +67,12 @@ let analyze_deps_uncached (s : Stmt_poly.t) =
   let write, reads = transformed_accesses s in
   List.concat_map
     (fun read ->
-      match Dep.analyze ~domain ~source:write ~sink:read with
-      | Some d ->
+      match Dep.carried_levels ~domain ~source:write ~sink:read with
+      | Some levels ->
           [
             List.filter_map
-              (fun (ld : Dep.level_dep) ->
-                match (List.nth ld.Dep.distance (ld.Dep.level - 1)).Dep.dmin with
-                | Some dist -> Some (ld.Dep.level, dist)
-                | None -> None)
-              d.Dep.carried;
+              (fun (level, dmin) -> Option.map (fun d -> (level, d)) dmin)
+              levels;
           ]
       | None -> [])
     reads

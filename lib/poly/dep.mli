@@ -37,6 +37,20 @@ type t = {
     never conflict. *)
 val analyze : domain:Basic_set.t -> source:access -> sink:access -> t option
 
+(** [carried_levels ~domain ~source ~sink] is {!analyze} projected to what
+    a QoR model reads: for each carrying level, in order, the level and the
+    minimal distance at that level ([None] when unbounded, or when the
+    level's test ran out of budget under the degrade policy).  [None] when
+    nothing conflicts.  Equal to
+    [Option.map (fun t -> List.map (fun ld -> (ld.level, min_distance_at t
+    ld.level)) t.carried) (analyze ...)], at the cost of one emptiness test
+    and one projection per level instead of one plus [n] projections. *)
+val carried_levels :
+  domain:Basic_set.t ->
+  source:access ->
+  sink:access ->
+  (int * int option) list option
+
 (** First (outermost) level that carries the dependence. *)
 val innermost_level : t -> int
 

@@ -3,30 +3,48 @@ let default_limit = 100_000
 (* Substitute a constant value for a dimension, dropping the dimension. *)
 let fix_dim = Basic_set.fix_dim
 
-(* FM elimination of [d] is integer-exact when every lower/upper bound pair
-   has a unit coefficient on at least one side. *)
+(* FM elimination of [d] is integer-exact when a unit equality on [d]
+   exists (substitution), or when every lower/upper bound pair has a unit
+   coefficient on at least one side — that is, all lower bounds or all
+   upper bounds are unit.  An equality bounds [d] from both sides.  One
+   pass over the coefficients, no bound lists built: [rational_empty] asks
+   this of every dimension at every step. *)
 let elimination_exact d s =
-  match
-    List.find_opt
-      (fun c -> Constr.is_eq c && abs (Linexpr.coeff (Constr.expr c) d) = 1)
-      (Basic_set.constraints s)
-  with
-  | Some _ -> true
-  | None ->
-      let lowers, uppers, _ = Basic_set.bounds_of d s in
-      List.for_all
-        (fun (cl, _) -> List.for_all (fun (cu, _) -> cl = 1 || cu = 1) uppers)
-        lowers
+  let unit_eq = ref false and low_nonunit = ref false and up_nonunit = ref false in
+  List.iter
+    (fun c ->
+      let cd = Linexpr.coeff (Constr.expr c) d in
+      if Constr.is_eq c then begin
+        if abs cd = 1 then unit_eq := true
+        else if cd <> 0 then begin
+          low_nonunit := true;
+          up_nonunit := true
+        end
+      end
+      else if cd > 1 then low_nonunit := true
+      else if cd < -1 then up_nonunit := true)
+    (Basic_set.constraints s);
+  !unit_eq || not (!low_nonunit && !up_nonunit)
 
+(* Exact eliminations go first: a tiled domain lists the outer tile
+   dimension ([i = 32*i_o + i_i]) before the unit-coefficient intra-tile
+   one, and eliminating in listed order would lose exactness at the first
+   step and send the test to enumeration.  The verdict does not depend on
+   the order; only how often FM alone can decide it does. *)
 let rec rational_empty s exact =
   let s = Basic_set.simplify s in
   if Basic_set.is_obviously_empty s then `Empty
   else
     match Basic_set.dims s with
     | [] -> if exact then `Nonempty else `Maybe
-    | d :: _ ->
-        let exact = exact && elimination_exact d s in
-        rational_empty (Basic_set.project_out d s) exact
+    | d0 :: _ as ds -> (
+        (* once a step was inexact the order no longer matters *)
+        match
+          if exact then List.find_opt (fun d -> elimination_exact d s) ds
+          else None
+        with
+        | Some d -> rational_empty (Basic_set.project_out d s) true
+        | None -> rational_empty (Basic_set.project_out d0 s) false)
 
 let range_with_window d s =
   let lb, ub = Basic_set.const_range d s in
@@ -53,11 +71,28 @@ let rec first_point s =
       in
       try_value lb
 
+(* how emptiness tests were decided since process start: by FM alone, or
+   by falling back to [first_point] enumeration *)
+let fm_decided = Atomic.make 0
+
+let enumerated = Atomic.make 0
+
+type stats = { fm_decided : int; enumerated : int }
+
+let stats () =
+  { fm_decided = Atomic.get fm_decided; enumerated = Atomic.get enumerated }
+
 let is_empty s =
   match rational_empty s true with
-  | `Empty -> true
-  | `Nonempty -> false
-  | `Maybe -> first_point s = None
+  | `Empty ->
+      Atomic.incr fm_decided;
+      true
+  | `Nonempty ->
+      Atomic.incr fm_decided;
+      false
+  | `Maybe ->
+      Atomic.incr enumerated;
+      first_point s = None
 
 let sample s = first_point s
 
@@ -110,14 +145,9 @@ let with_objective e s k =
   in
   k obj (Basic_set.project_onto [ obj ] lifted)
 
-let min_of e s =
-  if is_empty s then None
-  else
-    with_objective e s (fun obj projected ->
-        fst (Basic_set.const_range obj projected))
+let range_nonempty e s =
+  with_objective e s (fun obj projected -> Basic_set.const_range obj projected)
 
-let max_of e s =
-  if is_empty s then None
-  else
-    with_objective e s (fun obj projected ->
-        snd (Basic_set.const_range obj projected))
+let min_of e s = if is_empty s then None else fst (range_nonempty e s)
+
+let max_of e s = if is_empty s then None else snd (range_nonempty e s)

@@ -2,14 +2,22 @@
 
     Emptiness is decided by equality elimination with a GCD divisibility
     test, Fourier–Motzkin elimination for the remaining inequalities, and —
-    when the eliminated dimensions kept non-unit coefficients (where FM's
-    rational shadow might overapproximate the integer points) — a bounded
-    exact search over the set's constant bounding box.  Loop-nest iteration
-    domains and their dependence polyhedra always fall in the exact
-    fragment. *)
+    when an elimination step was not integer-exact (where FM's rational
+    shadow might overapproximate the integer points) — a bounded exact
+    search over the set's constant bounding box.  Dimensions whose
+    elimination is exact (a unit equality, or a unit coefficient in every
+    lower/upper bound pair) are eliminated first, so tiled loop-nest domains
+    and their dependence polyhedra stay in the exact fragment. *)
 
 (** [is_empty s] holds iff [s] contains no integer point. *)
 val is_empty : Basic_set.t -> bool
+
+(** How the emptiness tests since process start were decided:
+    [fm_decided] by Fourier–Motzkin alone, [enumerated] by falling back to
+    the bounded point search.  Counted from every domain. *)
+type stats = { fm_decided : int; enumerated : int }
+
+val stats : unit -> stats
 
 (** [sample s] is some integer point of [s] (as an assignment in dimension
     order) or [None] when empty.  The set must be bounded in every
@@ -31,3 +39,7 @@ val count : ?limit:int -> Basic_set.t -> int
 val min_of : Linexpr.t -> Basic_set.t -> int option
 
 val max_of : Linexpr.t -> Basic_set.t -> int option
+
+(** [range_nonempty e s] is [(min_of e s, max_of e s)] for a set the caller
+    has already shown non-empty: one projection, no emptiness test. *)
+val range_nonempty : Linexpr.t -> Basic_set.t -> int option * int option

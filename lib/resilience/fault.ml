@@ -2,7 +2,7 @@ exception Injected of string
 
 exception Killed of string
 
-type kind = Fail | Timeout | Kill
+type kind = Fail | Timeout | Kill | Stall
 
 type arm = { kind : kind; at : int; mutable visits : int }
 
@@ -23,9 +23,11 @@ let kind_of_string = function
   | "fail" -> Fail
   | "timeout" -> Timeout
   | "kill" -> Kill
+  | "stall" -> Stall
   | k ->
       invalid_arg
-        (Printf.sprintf "Fault.configure: unknown kind %S (fail|timeout|kill)" k)
+        (Printf.sprintf
+           "Fault.configure: unknown kind %S (fail|timeout|kill|stall)" k)
 
 let parse_term term =
   match String.split_on_char '=' term with
@@ -86,5 +88,16 @@ let point site =
       raise
         (Budget.Budget_exceeded { site; reason = "injected timeout" })
   | Some Kill -> raise (Killed site)
+  | Some Stall ->
+      (* hold the site until the ambient budget runs out or is cancelled;
+         with no budget there is nothing to wait on, so fire at once *)
+      if not (Budget.active ()) then
+        raise
+          (Budget.Budget_exceeded
+             { site; reason = "injected stall with no budget installed" });
+      while true do
+        Budget.check site;
+        Unix.sleepf 0.001
+      done
 
 let poll site = visit site <> None

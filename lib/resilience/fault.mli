@@ -15,7 +15,11 @@
       a genuine deadline, exercising the timeout fallbacks;
     - [kill]: raise {!Killed} — simulates the process dying at that point;
       guards re-raise it, so it unwinds everything (used by the
-      checkpoint kill-and-resume test).
+      checkpoint kill-and-resume test);
+    - [stall]: block at the site until the ambient {!Budget} is exhausted
+      or cancelled, then raise its {!Budget.Budget_exceeded} — a hang whose
+      length the test controls, not the compiler's speed (with no budget
+      installed it raises at once).
 
     Example: ["pass:hls-synthesize=fail@1,dse:evaluate=kill@5"]. *)
 

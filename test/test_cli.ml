@@ -48,6 +48,41 @@ let test_analysis_failures () =
   Alcotest.(check int) "illegal schedule (reversed dependences)" 2
     (run "-w seidel -s 16 -f pom-manual --schedule \"interchange s t j\"")
 
+(* stdout of a successful run, one string per line *)
+let output_lines args =
+  let out = Filename.temp_file "pom_cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      Alcotest.(check int) ("exit code of " ^ args) 0
+        (Sys.command
+           (exe ^ " " ^ args ^ " > " ^ Filename.quote out ^ " 2> /dev/null"));
+      In_channel.with_open_text out In_channel.input_all
+      |> String.split_on_char '\n')
+
+(* --timing accounts for every emptiness test: decided by FM alone or by
+   the point-enumeration fallback.  bicg's tiled domains (i = 32*i_o +
+   i_i) stay exact when the unit-coefficient dimensions are eliminated
+   first, so none of its tests may fall back. *)
+let test_timing_emptiness_line () =
+  let lines = output_lines "-w bicg -s 2048 -f pom -j 1 --timing" in
+  match
+    List.find_map
+      (fun l ->
+        try
+          Scanf.sscanf l
+            "poly: emptiness %d tests, %d decided by FM, %d by point \
+             enumeration%!"
+            (fun n fm en -> Some (n, fm, en))
+        with Scanf.Scan_failure _ | End_of_file | Failure _ -> None)
+      lines
+  with
+  | None -> Alcotest.fail "no emptiness line in --timing output"
+  | Some (n, fm, en) ->
+      Alcotest.(check bool) "some tests ran" true (n > 0);
+      Alcotest.(check int) "every test is accounted for" n (fm + en);
+      Alcotest.(check int) "no enumeration fallback on tiled bicg" 0 en
+
 let () =
   Alcotest.run "cli"
     [
@@ -58,5 +93,9 @@ let () =
           Alcotest.test_case "bad numeric options" `Quick
             test_bad_numeric_options;
           Alcotest.test_case "analysis failures" `Quick test_analysis_failures;
+        ] );
+      ( "timing",
+        [
+          Alcotest.test_case "emptiness line" `Quick test_timing_emptiness_line;
         ] );
     ]

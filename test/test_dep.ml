@@ -122,6 +122,107 @@ let prop_distance_witnessed =
       done;
       (Dep.analyze ~domain ~source:w ~sink:r <> None) = !exists)
 
+(* ---- the QoR model's query: analyze projected to (level, dmin) ---- *)
+
+let project =
+  Option.map (fun (t : Dep.t) ->
+      List.map
+        (fun (ld : Dep.level_dep) ->
+          (ld.Dep.level, Dep.min_distance_at t ld.Dep.level))
+        t.Dep.carried)
+
+let carried_printer = QCheck.Print.(option (list (pair int (option int))))
+
+let check_carried msg ~domain ~source ~sink =
+  let expected = project (Dep.analyze ~domain ~source ~sink) in
+  Alcotest.(check (option (list (pair int (option int))))) msg expected
+    (Dep.carried_levels ~domain ~source ~sink);
+  expected
+
+let test_carried_gemm () =
+  let domain = box [ ("i", 0, 32); ("j", 0, 32); ("k", 0, 32) ] in
+  let acc = Dep.access "D" [ v "i"; v "j" ] in
+  Alcotest.(check (option (list (pair int (option int)))))
+    "reduction carried at level 3, distance 1"
+    (Some [ (3, Some 1) ])
+    (check_carried "equals analyze" ~domain ~source:acc ~sink:acc)
+
+let test_carried_none () =
+  let domain = box [ ("i", 0, 8) ] in
+  let w = Dep.access "A" [ Linexpr.term 2 "i" ] in
+  let r = Dep.access "A" [ Linexpr.add (Linexpr.term 2 "i") (c 1) ] in
+  Alcotest.(check bool) "parity: no dependence" true
+    (check_carried "parity" ~domain ~source:w ~sink:r = None);
+  Alcotest.(check bool) "different arrays: no dependence" true
+    (check_carried "arrays" ~domain ~source:w
+       ~sink:(Dep.access "B" [ v "i" ])
+    = None)
+
+(* a projection cap no FM combination fits under: under the degrade policy
+   a level whose test needs a combination is assumed carried with no known
+   distance, in both queries.  Level 1 needs none: the same element forces
+   equal [i], which contradicts the strict order at that level. *)
+let test_carried_degraded () =
+  let domain = box [ ("i", 0, 8); ("j", 0, 8) ] in
+  let acc = Dep.access "q" [ v "i" ] in
+  let module R = Pom_resilience in
+  let capped f = Basic_set.with_projection_cap 1 f in
+  R.Policy.with_policy R.Policy.Degrade (fun () ->
+      capped (fun () ->
+          Alcotest.(check (option (list (pair int (option int)))))
+            "level 2 carried, no distance"
+            (Some [ (2, None) ])
+            (check_carried "degraded" ~domain ~source:acc ~sink:acc)));
+  Alcotest.(check bool) "abort policy re-raises" true
+    (match capped (fun () -> Dep.carried_levels ~domain ~source:acc ~sink:acc) with
+    | exception R.Budget.Budget_exceeded _ -> true
+    | _ -> false)
+
+(* random bounded domains from the refuter's generator, random affine
+   accesses of rank 1-2 over their dimensions (sometimes to another
+   array) *)
+let gen_dep_case =
+  QCheck.Gen.(
+    Pom_refute.Gen.poly () >>= fun pc ->
+    let dims = pc.Pom_refute.Case.dims in
+    let term = map2 Linexpr.term (int_range (-2) 2) (oneofl dims) in
+    let index =
+      map2
+        (fun ts k -> List.fold_left Linexpr.add (c k) ts)
+        (list_size (int_range 1 2) term)
+        (int_range (-2) 2)
+    in
+    int_range 1 2 >>= fun rank ->
+    map3
+      (fun src snk other ->
+        ( pc,
+          Dep.access "A" src,
+          Dep.access (if other then "B" else "A") snk ))
+      (list_repeat rank index) (list_repeat rank index)
+      (map (fun k -> k = 0) (int_bound 9)))
+
+let print_dep_case (pc, (src : Dep.access), (snk : Dep.access)) =
+  let acc (a : Dep.access) =
+    a.Dep.array ^ "["
+    ^ String.concat ", " (List.map Linexpr.to_string a.Dep.indices)
+    ^ "]"
+  in
+  Printf.sprintf "%s\nsource %s, sink %s"
+    (Pom_refute.Case.to_string (Pom_refute.Case.Poly pc))
+    (acc src) (acc snk)
+
+let prop_carried_is_projection =
+  QCheck.Test.make ~name:"carried_levels = analyze projected to (level, dmin)"
+    ~count:300
+    (QCheck.make ~print:print_dep_case gen_dep_case)
+    (fun (pc, source, sink) ->
+      let domain = Pom_refute.Case.set_of_poly pc in
+      let got = Dep.carried_levels ~domain ~source ~sink
+      and want = project (Dep.analyze ~domain ~source ~sink) in
+      got = want
+      || QCheck.Test.fail_reportf "carried_levels %s, analyze %s"
+           (carried_printer got) (carried_printer want))
+
 let () =
   Alcotest.run "dep"
     [
@@ -135,5 +236,13 @@ let () =
           Alcotest.test_case "strided parity disjoint" `Quick test_strided_no_conflict;
           Alcotest.test_case "diagonal stencil distance" `Quick test_seidel_diagonal;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_distance_witnessed ]);
+      ( "carried levels",
+        [
+          Alcotest.test_case "GEMM reduction" `Quick test_carried_gemm;
+          Alcotest.test_case "no dependence" `Quick test_carried_none;
+          Alcotest.test_case "degraded levels" `Quick test_carried_degraded;
+        ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_distance_witnessed; prop_carried_is_projection ] );
     ]

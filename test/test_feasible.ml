@@ -114,6 +114,45 @@ let prop_min_is_attained =
              unit-coefficient objective *)
           values <> [] && List.for_all (fun x -> m <= x) values)
 
+(* strip-mine a case's first dimension by [f]: d = f*d_o + d_i with
+   0 <= d_i < f, the outer tile dimension listed first — the shape whose
+   listed-order elimination is inexact.  Strip-mining is a bijection, so
+   the tiled set is empty iff the case is. *)
+let strip_mine f pc =
+  let s = Rcase.set_of_poly pc in
+  let d = List.hd pc.Rcase.dims in
+  let o = d ^ "_o" and i = d ^ "_i" in
+  Basic_set.change_space
+    ~new_dims:(o :: i :: List.tl pc.Rcase.dims)
+    ~bindings:[ (d, Linexpr.add (Linexpr.term f o) (v i)) ]
+    ~extra:[ Constr.ge (v i) (c 0); Constr.le (v i) (c (f - 1)) ]
+    s
+
+let prop_tiled_emptiness_exact =
+  QCheck.Test.make ~name:"is_empty on strip-mined sets agrees with brute force"
+    ~count:300
+    QCheck.(pair (int_range 2 5) (Pom_refute.Gen.arb_poly ()))
+    (fun (f, pc) ->
+      Feasible.is_empty (strip_mine f pc)
+      = brute_force_empty pc (Rcase.set_of_poly pc))
+
+(* a tiled box (i = 32*i_o + i_i, 0 <= i < 64): eliminating i_i first keeps
+   every step exact, so FM decides the test without enumeration *)
+let test_tiled_decided_by_fm () =
+  let tiled =
+    Basic_set.change_space ~new_dims:[ "i_o"; "i_i" ]
+      ~bindings:[ ("i", Linexpr.add (Linexpr.term 32 "i_o") (v "i_i")) ]
+      ~extra:[ Constr.ge (v "i_i") (c 0); Constr.le (v "i_i") (c 31) ]
+      (box [ ("i", 0, 64) ])
+  in
+  let before = Feasible.stats () in
+  Alcotest.(check bool) "non-empty" false (Feasible.is_empty tiled);
+  let after = Feasible.stats () in
+  Alcotest.(check int) "decided by FM" 1
+    (after.Feasible.fm_decided - before.Feasible.fm_decided);
+  Alcotest.(check int) "no enumeration" 0
+    (after.Feasible.enumerated - before.Feasible.enumerated)
+
 let () =
   Alcotest.run "feasible"
     [
@@ -128,8 +167,10 @@ let () =
           Alcotest.test_case "sampling" `Quick test_sample;
           Alcotest.test_case "optimization" `Quick test_min_max;
           Alcotest.test_case "optimization over empty" `Quick test_min_max_empty;
+          Alcotest.test_case "tiled set decided by FM" `Quick
+            test_tiled_decided_by_fm;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_emptiness_exact; prop_min_is_attained ] );
+          [ prop_emptiness_exact; prop_tiled_emptiness_exact; prop_min_is_attained ] );
     ]

@@ -98,7 +98,25 @@ let test_fault_kinds () =
       | () -> Alcotest.fail "timeout kind should raise Budget_exceeded");
       match R.Fault.point "b" with
       | exception R.Fault.Killed "b" -> ()
-      | _ -> Alcotest.fail "kill kind should raise Killed")
+      | _ -> Alcotest.fail "kill kind should raise Killed");
+  (* stall holds the site until the ambient budget gives up: here a cancel
+     poll that answers true on its fifth call *)
+  with_faults "c=stall@1,d=stall@1" (fun () ->
+      let polls = ref 0 in
+      (match
+         R.Budget.with_budget
+           ~cancel:(fun () ->
+             incr polls;
+             !polls >= 5)
+           (fun () -> R.Fault.point "c")
+       with
+      | exception R.Budget.Budget_exceeded { site; _ } ->
+          Alcotest.(check string) "stall ends at its site" "c" site;
+          Alcotest.(check int) "held until cancelled" 5 !polls
+      | () -> Alcotest.fail "stall kind should end in Budget_exceeded");
+      match R.Fault.point "d" with
+      | exception R.Budget.Budget_exceeded _ -> ()
+      | () -> Alcotest.fail "stall with no budget should raise at once")
 
 (* -------- checkpoint journal -------- *)
 

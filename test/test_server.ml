@@ -251,9 +251,12 @@ let test_malformed_requests () =
 (* -------- admission control -------- *)
 
 let test_admission_overload () =
+  (* the first compile stalls at its first pass until its client
+     disconnects, so the executor stays busy for as long as the test needs
+     it, however fast compiling gets *)
+  Pom_resilience.Fault.configure "pass:stage1-transform=stall@1";
+  Fun.protect ~finally:Pom_resilience.Fault.reset @@ fun () ->
   with_server ~max_queue:1 @@ fun ~socket _t ->
-  (* occupy the executor with a compile that outlives the test window,
-     then fill the queue; the next request must bounce with POM310 *)
   let slow_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect slow_fd (Unix.ADDR_UNIX socket);
   Protocol.write_client_msg
